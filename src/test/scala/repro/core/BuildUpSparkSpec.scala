@@ -36,6 +36,103 @@ class BuildUpSparkSpec extends SparkSpec {
     }
   }
 
+  /** Every level of a Spark build equals the reference DP's, vertex by vertex. */
+  private def assertMatchesReference(g: LocalGraph, coloring: Coloring, zeroRoot: Boolean = true): Unit = {
+    val k = coloring.k
+    val colors = colorsArr(g, coloring)
+    val ref = LocalEngine.buildUp(g, colors, k, zeroRoot)
+    val build = BuildUp.runLocalGraph(spark, g, coloring, zeroRoot)
+    try {
+      val got = build.toLocalResult(g, colors)
+      for (h <- 1 to k; v <- 0 until g.n)
+        assert(got.tables(h)(v) == ref.tables(h)(v), s"k=$k h=$h v=$v")
+      assert(build.totalTreelets == ref.totalTreelets)
+      assert(build.pairCounts == (1 to k).map(h => ref.tables(h).map(_.size.toLong).sum))
+    } finally build.unpersist()
+  }
+
+  test("Spark DP equals the reference DP exactly (k=6,7; several graphs)") {
+    val graphs = Seq(
+      Generators.er(40, 110, seed = 71),
+      Generators.ringChords(30, 18, seed = 72),
+      Generators.caveman(5, 6, 0.15, seed = 73))
+    for (g <- graphs; k <- 6 to 7) assertMatchesReference(g, Coloring.uniform(k, seed = 100 + k))
+  }
+
+  test("Spark DP equals the reference DP exactly at k=8") {
+    assertMatchesReference(Generators.er(40, 110, seed = 71), Coloring.uniform(8, seed = 108))
+  }
+
+  test("Spark DP equals the reference DP at k=6 with biased coloring and without 0-rooting") {
+    val g = Generators.powerlaw(60, 200, seed = 74)
+    assertMatchesReference(g, Coloring(6, 0.08, seed = 5))
+    assertMatchesReference(g, Coloring.uniform(6, seed = 6), zeroRoot = false)
+  }
+
+  test("level plans do not grow with h") {
+    val g = Generators.er(30, 80, seed = 75)
+    val build = BuildUp.runLocalGraph(spark, g, Coloring.uniform(7, seed = 13))
+    try {
+      val nodes = (1 to 7).map(h => build.level(h).queryExecution.logical.collect { case p => p }.size)
+      assert(nodes.forall(_ == nodes.head), s"plan nodes per level: $nodes")
+    } finally build.unpersist()
+  }
+
+  /** Runs the DP on `g`'s edges plus `extra` directed edges; colors cover
+    * the vertices of `g` only.
+    */
+  private def runWithExtraEdges(g: LocalGraph, extra: (Long, Long)*): Unit = {
+    import spark.implicits._
+    val coloring = Coloring.uniform(4, seed = 14)
+    val edges = Graphs.edgesDF(spark, g).union(extra.toDF("src", "dst"))
+    BuildUp.run(spark, edges, coloring.colorsDF(spark, g.n.toLong), 4).unpersist()
+  }
+
+  test("malformed input: a self-loop is rejected") {
+    val g = Generators.er(20, 40, seed = 83)
+    val e = intercept[IllegalArgumentException](runWithExtraEdges(g, 3L -> 3L))
+    assert(e.getMessage.contains("self-loop"))
+  }
+
+  test("malformed input: a duplicated directed edge is rejected") {
+    val g = Generators.er(20, 40, seed = 84)
+    val (a, b) = g.edgePairs.next()
+    val e = intercept[IllegalArgumentException](runWithExtraEdges(g, a.toLong -> b.toLong))
+    assert(e.getMessage.contains("duplicated edge"))
+  }
+
+  test("malformed input: an edge endpoint without a color is rejected") {
+    val g = Generators.er(20, 40, seed = 85)
+    val n = g.n.toLong
+    // both orientations, and the destination side alone
+    for (extra <- Seq(Seq(0L -> n, n -> 0L), Seq(0L -> n))) {
+      val e = intercept[IllegalArgumentException](runWithExtraEdges(g, extra: _*))
+      assert(e.getMessage.contains("no row in colors"))
+    }
+  }
+
+  test("Decimal(38,0) boundary: 10^38 − 1 converts, 10^38 throws") {
+    val max = BigInt(10).pow(38) - 1
+    assert(BigInt(BuildUp.toCountDecimal(max).toBigIntegerExact) == max)
+    assert(BigInt(BuildUp.toCountDecimal(-max).toBigIntegerExact) == -max)
+    intercept[ArithmeticException](BuildUp.toCountDecimal(max + 1))
+    intercept[ArithmeticException](BuildUp.toCountDecimal(-max - 1))
+  }
+
+  test("count tables stay exact past Long, through sums and Java serialization") {
+    val big = BigInt(Long.MaxValue)
+    val a = BuildUp.Table(Array(1L, 5L), Array(big, BigInt(2)))
+    val b = BuildUp.Table(Array(5L, 9L), Array(BigInt(3), big))
+    val sum = BuildUp.Table.add(BuildUp.Table.add(a, b), a)
+    assert(sum.codes.toSeq == Seq(1L, 5L, 9L))
+    assert(sum.counts.toSeq == Seq(2 * big, BigInt(7), big))
+    val bytes = new java.io.ByteArrayOutputStream
+    new java.io.ObjectOutputStream(bytes).writeObject(sum)
+    val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[BuildUp.Table]
+    assert(back.codes.toSeq == sum.codes.toSeq && back.counts.toSeq == sum.counts.toSeq)
+  }
+
   test("Spark DP equals the reference DP with biased coloring") {
     val g = Generators.powerlaw(60, 200, seed = 74)
     val k = 4
