@@ -4,8 +4,8 @@ import repro.graphlet.SpanningTrees
 import scala.collection.mutable
 
 /** The sampling interface AGS needs: an urn that can be queried per
-  * free k-treelet shape — `sample(T)` of §4. Implemented by the local
-  * Motivo table and by the distributed Spark sampler.
+  * free k-treelet shape — `sample(T)` of §4. Implemented over the local
+  * Motivo table by [[Motivo.LocalShapeSampler]].
   */
 trait ShapeSampling {
   def k: Int
@@ -55,8 +55,7 @@ object AGS {
           budget: Long,
           cbar: Int = 1000,
           batch: Int = 256,
-          saturation: Double = 0.9999,
-          verbose: Boolean = false): AGSResult = {
+          saturation: Double = 0.9999): AGSResult = {
     val k = sampler.k
     val r = sampler.totalsByShape.filter(_._2 > 0)
     require(r.nonEmpty, "urn is empty")
@@ -110,8 +109,6 @@ object AGS {
       }
       if (newlyCovered) {
         current = pickShape()
-        if (verbose)
-          Console.err.println(s"[AGS] covered=${covered.size} taken=$taken -> shape ${Integer.toHexString(current)}")
         // Saturation stop: every shape's mass is (estimated) almost all covered.
         if (shapes.forall(j => coveredProb(j) >= saturation)) done = true
       }
@@ -122,14 +119,19 @@ object AGS {
     AGSResult(hits.toMap, w, est, taken, nByShape.toMap, covered.toSet)
   }
 
+  /** Draws per `sampleBatch` call of [[naive]]; the chunking does not
+    * change the draws.
+    */
+  private val NaiveBatch = 1024L
+
   /** Naive sampling through the same interface: unrestricted draws, CC's
     * estimator (§2.2) applied by [[Estimators.naiveCounts]].
     */
-  def naive(sampler: ShapeSampling, budget: Long, batch: Int = 1024): Map[Long, Long] = {
+  def naive(sampler: ShapeSampling, budget: Long): Map[Long, Long] = {
     val hits = mutable.HashMap.empty[Long, Long].withDefaultValue(0L)
     var taken = 0L
     while (taken < budget) {
-      val b = math.min(batch.toLong, budget - taken).toInt
+      val b = math.min(NaiveBatch, budget - taken).toInt
       val codes = sampler.sampleBatch(None, b)
       codes.foreach(c => hits(c) += 1)
       taken += codes.size

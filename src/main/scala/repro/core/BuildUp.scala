@@ -198,7 +198,8 @@ object BuildUp {
     * @param colors   (v, col) with col in [0, k)
     * @param zeroRoot restrict level k to color-0 roots (§3.2)
     * @throws IllegalArgumentException on a self-loop, a duplicated directed
-    *         edge, or an edge endpoint without a row in `colors`
+    *         edge, an edge endpoint without a row in `colors`, a vertex with
+    *         more than one row in `colors`, or a color outside [0, k)
     */
   def run(spark: SparkSession, edges: DataFrame, colors: DataFrame, k: Int,
           zeroRoot: Boolean = true,
@@ -221,7 +222,11 @@ object BuildUp {
           throw new IllegalArgumentException(s"self-loop at vertex $v")
         for (i <- 1 until adj.length if adj(i) == adj(i - 1))
           throw new IllegalArgumentException(s"duplicated edge ($v, ${adj(i)})")
+        if (cs.size > 1)
+          throw new IllegalArgumentException(s"vertex $v has ${cs.size} rows in colors")
         val c = cs.head
+        if (c < 0 || c >= k)
+          throw new IllegalArgumentException(s"color $c of vertex $v outside [0, $k)")
         v -> new VertexState(c, adj, Array(Table(Array(ColoredTreelet.singleton(c)), Array(BigInt(1)))),
                              Array.empty)
     }, preservesPartitioning = true)

@@ -41,9 +41,16 @@ object LocalEngine {
       tables(h)(v).getOrElse(ct, BigInt(0))
   }
 
-  /** Run the DP. `colors(v)` must be in [0, k). */
+  /** Run the DP.
+    *
+    * @throws IllegalArgumentException unless 2 ≤ k ≤ 8 and every
+    *         `colors(v)` is in [0, k)
+    */
   def buildUp(g: LocalGraph, colors: Array[Int], k: Int, zeroRoot: Boolean = true): Result = {
-    require(colors.length == g.n)
+    require(k >= 2 && k <= 8, s"k=$k out of [2,8]")
+    require(colors.length == g.n, s"${colors.length} colors for ${g.n} vertices")
+    for (v <- 0 until g.n)
+      require(colors(v) >= 0 && colors(v) < k, s"color ${colors(v)} of vertex $v outside [0, $k)")
     val tables = new Array[Level](k + 1)
     tables(1) = Array.fill(g.n)(mutable.HashMap.empty[Long, BigInt])
     for (v <- 0 until g.n)

@@ -2,17 +2,17 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 import repro.color.Coloring
-import repro.graph.{Graphs, LocalGraph}
+import repro.graph.LocalGraph
 import scala.util.Random
 
 /** End-to-end orchestration: build the urn, sample, estimate — the API the
   * jobs and benches drive.
   *
-  * Two sampling backends share the [[ShapeSampling]] interface:
-  * - [[LocalShapeSampler]], the in-memory Motivo table (alias + binary
-  *   search + neighbor buffering) fed by either the Spark or the local DP —
-  *   used where the paper measures single-machine sampling rates;
-  * - [[DistSampler]], the DataFrame sampler — the distributed path.
+  * The build-up runs on Spark ([[runSparkBuild]]) or in memory
+  * ([[runLocal]]); either way the counts land in the in-memory Motivo table
+  * (alias + binary search + neighbor buffering, §3.2–§3.3), which
+  * [[LocalShapeSampler]] exposes to naive sampling and AGS. Sampling is
+  * single-machine, as in the paper.
   */
 object Motivo {
 
@@ -81,24 +81,5 @@ object Motivo {
       if (doAGS) Some(AGS.run(new LocalShapeSampler(table, seed + 2), budget, cbar = cbar))
       else None
     Run(local.k, coloring, table.totalTreelets, naive, budget, ags)
-  }
-
-  /** Fully distributed run: Spark build-up + Spark sampler. */
-  def runSparkFull(spark: SparkSession, g: LocalGraph, k: Int,
-                   budget: Long, seed: Long = 7,
-                   lambda: Option[Double] = None, cbar: Int = 1000,
-                   doNaive: Boolean = true, doAGS: Boolean = true): Run = {
-    val coloring = lambda.map(Coloring(k, _, seed)).getOrElse(Coloring.uniform(k, seed))
-    val build = BuildUp.runLocalGraph(spark, g, coloring)
-    val sampler = new DistSampler(spark, build,
-      Graphs.edgesDF(spark, g), Graphs.edgePairsDF(spark, g), seed)
-    try {
-      val naive =
-        if (doNaive) Some(AGS.naive(sampler, budget, batch = math.min(budget, 2048L).toInt))
-        else None
-      val ags = if (doAGS) Some(AGS.run(sampler, budget, cbar = cbar,
-        batch = math.min(budget, 1024L).toInt)) else None
-      Run(k, coloring, build.totalTreelets, naive, budget, ags)
-    } finally { sampler.close(); build.unpersist() }
   }
 }

@@ -5,7 +5,8 @@ import org.apache.spark.sql.functions._
 
 /** Spark-side graph representation: a symmetric, simple edge-list
   * DataFrame (src: Long, dst: Long) with both orientations of every
-  * undirected edge, which is what the build-up DP joins against ("u ~ v").
+  * undirected edge — the input [[repro.core.BuildUp.run]] builds each
+  * vertex's adjacency ("u ~ v") from.
   */
 object Graphs {
 
@@ -16,15 +17,6 @@ object Graphs {
       Iterator((a.toLong, b.toLong), (b.toLong, a.toLong))
     }.toSeq
     spark.createDataset(pairs).toDF("src", "dst")
-  }
-
-  /** Undirected edge pairs (a < b), one row per edge — used by the induced
-    * subgraph step and by DuckDB oracle tables.
-    */
-  def edgePairsDF(spark: SparkSession, g: LocalGraph): DataFrame = {
-    import spark.implicits._
-    spark.createDataset(g.edgePairs.map { case (a, b) => (a.toLong, b.toLong) }.toSeq)
-      .toDF("a", "b")
   }
 
   def verticesDF(spark: SparkSession, g: LocalGraph): DataFrame =

@@ -170,5 +170,13 @@ class AGSSpec extends SparkSpec {
     val sparkRun = Motivo.runSparkBuild(spark, g, k, budget = 2000, seed = 17, cbar = 100)
     val localRun = Motivo.runLocal(g, k, budget = 2000, seed = 17, cbar = 100)
     assert(sparkRun.totalTreelets == localRun.totalTreelets)
+    // Both builds give the same code-sorted table, so the samplers draw the
+    // same stream at the same seed.
+    assert(sparkRun.naiveHits.get == localRun.naiveHits.get)
+    val (sparkAGS, localAGS) = (sparkRun.ags.get, localRun.ags.get)
+    assert(sparkAGS.hits == localAGS.hits)
+    assert(sparkAGS.samplesByShape == localAGS.samplesByShape)
+    assert(sparkAGS.covered == localAGS.covered)
+    assert(localAGS.covered.nonEmpty && localAGS.samplesByShape.size >= 2)
   }
 }

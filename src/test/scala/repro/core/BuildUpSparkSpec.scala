@@ -111,6 +111,32 @@ class BuildUpSparkSpec extends SparkSpec {
     }
   }
 
+  test("malformed input: a color outside [0, k) is rejected") {
+    import spark.implicits._
+    val g = Generators.er(20, 40, seed = 86)
+    val k = 4
+    val colors = Coloring.uniform(k, seed = 15).colorsDF(spark, g.n.toLong).where(col("v") =!= 5L)
+    for (bad <- Seq(-1, k, 16)) {
+      val e = intercept[IllegalArgumentException] {
+        BuildUp.run(spark, Graphs.edgesDF(spark, g), colors.union(Seq((5L, bad)).toDF("v", "col")), k)
+          .unpersist()
+      }
+      assert(e.getMessage.contains(s"color $bad of vertex 5 outside [0, $k)"))
+    }
+  }
+
+  test("malformed input: a vertex with two color rows is rejected") {
+    import spark.implicits._
+    val g = Generators.er(20, 40, seed = 87)
+    val k = 4
+    val colors = Coloring.uniform(k, seed = 16).colorsDF(spark, g.n.toLong)
+    val e = intercept[IllegalArgumentException] {
+      BuildUp.run(spark, Graphs.edgesDF(spark, g), colors.union(Seq((7L, 0)).toDF("v", "col")), k)
+        .unpersist()
+    }
+    assert(e.getMessage.contains("vertex 7 has 2 rows in colors"))
+  }
+
   test("Decimal(38,0) boundary: 10^38 − 1 converts, 10^38 throws") {
     val max = BigInt(10).pow(38) - 1
     assert(BigInt(BuildUp.toCountDecimal(max).toBigIntegerExact) == max)

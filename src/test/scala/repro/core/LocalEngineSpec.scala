@@ -60,6 +60,26 @@ class LocalEngineSpec extends SparkSpec {
     assert(r2.totalTreelets == BigInt(0))
   }
 
+  test("k outside [2, 8] is rejected before the DP runs") {
+    val g = LocalGraph.fromEdges(12, (0 until 11).map(i => (i, i + 1)))
+    for (k <- Seq(1, 9)) {
+      val e = intercept[IllegalArgumentException](
+        LocalEngine.buildUp(g, Array.tabulate(g.n)(_ % k), k))
+      assert(e.getMessage.contains(s"k=$k out of [2,8]"))
+    }
+  }
+
+  test("a color outside [0, k) is rejected") {
+    val g = Generators.er(20, 40, seed = 41)
+    val k = 4
+    for (bad <- Seq(-1, k, 16)) {
+      val colors = colorsFor(g, k, seed = 9)
+      colors(5) = bad
+      val e = intercept[IllegalArgumentException](LocalEngine.buildUp(g, colors, k))
+      assert(e.getMessage.contains(s"color $bad of vertex 5 outside [0, $k)"))
+    }
+  }
+
   test("totalTreelets equals the spanning-tree sum over colorful subsets (k=3,4,5)") {
     val g = Generators.er(40, 110, seed = 31)
     for (k <- 3 to 5) {

@@ -17,13 +17,6 @@ class GraphsSparkSpec extends SparkSpec {
     assert(fwd.exceptAll(bwd).count() == 0)
   }
 
-  test("edgePairsDF has m rows with a < b") {
-    val g = Generators.powerlaw(80, 250, seed = 202)
-    val p = Graphs.edgePairsDF(spark, g)
-    assert(p.count() == g.m.toLong)
-    assert(p.where(col("a") >= col("b")).count() == 0)
-  }
-
   test("normalize drops self-loops, dedupes, and symmetrizes") {
     import spark.implicits._
     val raw = Seq((1L, 2L), (2L, 1L), (1L, 2L), (3L, 3L), (2L, 4L)).toDF("src", "dst")
