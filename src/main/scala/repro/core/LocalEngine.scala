@@ -1,44 +1,37 @@
 package repro.core
 
 import repro.graph.LocalGraph
-import repro.treelet.{ColoredTreelet, Treelet, TreeletEnum}
 import scala.collection.mutable
 
-/** Exact in-memory build-up phase over BigInt counters.
+/** Exact in-memory build-up phase.
   *
-  * This is (a) the reference implementation the Spark DP is validated
-  * against bit-for-bit, (b) the engine behind the local Motivo/CC count
-  * tables and samplers used for the micro-benchmarks of §3, and (c) the
-  * paper's own device: Motivo ships an in-memory build-up too (it uses it
-  * to compute σ_ij, §3.3).
+  * This is (a) the in-memory twin the Spark DP is checked against
+  * bit-for-bit (both run the same kernel), (b) the engine behind the local
+  * Motivo/CC count tables and samplers used for the micro-benchmarks of
+  * §3, and (c) the paper's own device: Motivo ships an in-memory build-up
+  * too (it uses it to compute σ_ij, §3.3).
   *
-  * `tables(h)(v)` maps a colored-treelet code to c(T_C, v), the number of
-  * colorful non-induced copies of T_C rooted at v (Eq. 1). At h = k only
-  * vertices of color 0 are populated when `zeroRoot` is on (§3.2).
+  * `tables(h)(v)` holds c(T_C, v), the number of colorful non-induced
+  * copies of T_C rooted at v (Eq. 1), per colored-treelet code. Level h is
+  * the neighbor sums S_{h−1}(v) = Σ_{u~v} c(·, u) followed by the Eq. (1)
+  * kernel of [[CountTable]], the same two steps as [[BuildUp]]. At h = k
+  * only vertices of color 0 are populated when `zeroRoot` is on (§3.2).
   */
 object LocalEngine {
 
-  type Level = Array[mutable.HashMap[Long, BigInt]]
+  type Level = Array[CountTable]
 
   final case class Result(g: LocalGraph, colors: Array[Int], k: Int, zeroRoot: Boolean,
                           tables: Array[Level]) {
 
     /** Total number of colorful k-treelet copies (0-rooted ⇒ once each). */
-    lazy val totalTreelets: BigInt =
-      tables(k).iterator.flatMap(_.valuesIterator).foldLeft(BigInt(0))(_ + _)
+    lazy val totalTreelets: BigInt = tables(k).iterator.map(_.total).foldLeft(BigInt(0))(_ + _)
 
     /** r_j of AGS: colorful copies per free k-treelet shape. */
-    lazy val totalsByShape: Map[Int, BigInt] = {
-      val acc = mutable.HashMap.empty[Int, BigInt]
-      for (tbl <- tables(k); (ct, c) <- tbl) {
-        val f = TreeletEnum.freeShape(ColoredTreelet.shape(ct))
-        acc(f) = acc.getOrElse(f, BigInt(0)) + c
-      }
-      acc.toMap
-    }
+    lazy val totalsByShape: Map[Int, BigInt] =
+      tables(k).toSeq.flatMap(_.byFreeShape).groupMapReduce(_._1)(_._2)(_ + _)
 
-    def count(h: Int, v: Int, ct: Long): BigInt =
-      tables(h)(v).getOrElse(ct, BigInt(0))
+    def count(h: Int, v: Int, ct: Long): BigInt = tables(h)(v).toMap.getOrElse(ct, BigInt(0))
   }
 
   /** Run the DP.
@@ -52,52 +45,17 @@ object LocalEngine {
     for (v <- 0 until g.n)
       require(colors(v) >= 0 && colors(v) < k, s"color ${colors(v)} of vertex $v outside [0, $k)")
     val tables = new Array[Level](k + 1)
-    tables(1) = Array.fill(g.n)(mutable.HashMap.empty[Long, BigInt])
-    for (v <- 0 until g.n)
-      tables(1)(v)(ColoredTreelet.singleton(colors(v))) = BigInt(1)
-
+    val sums = new Array[Level](k) // sums(h)(v) = S_h(v)
+    tables(1) = Array.tabulate(g.n)(v => CountTable.singleton(colors(v)))
     for (h <- 2 to k) {
-      val lvl: Level = Array.fill(g.n)(mutable.HashMap.empty[Long, BigInt])
-      val restrictRoots = zeroRoot && h == k
-      var v = 0
-      while (v < g.n) {
-        if (!restrictRoots || colors(v) == 0) {
-          val out = lvl(v)
-          var h2 = 1
-          while (h2 < h) {
-            val h1 = h - h2
-            val left = tables(h1)(v)
-            if (left.nonEmpty) {
-              var ni = 0
-              val deg = g.degree(v)
-              while (ni < deg) {
-                val u = g.neighborAt(v, ni)
-                val right = tables(h2)(u)
-                if (right.nonEmpty) {
-                  for ((ct1, c1) <- left; (ct2, c2) <- right) {
-                    val m = ColoredTreelet.tryMerge(ct1, ct2)
-                    if (m != -1L) out(m) = out.getOrElse(m, BigInt(0)) + c1 * c2
-                  }
-                }
-                ni += 1
-              }
-            }
-            h2 += 1
-          }
-          // β_T division of Eq. (1) — exact; non-divisibility is a bug.
-          for (ct <- out.keys.toArray) {
-            val b = Treelet.beta(ColoredTreelet.shape(ct))
-            if (b > 1) {
-              val c = out(ct)
-              val (q, r) = c /% BigInt(b)
-              require(r == 0, s"β-division remainder: c=$c β=$b ct=${ColoredTreelet.toPrettyString(ct)}")
-              out(ct) = q
-            }
-          }
-        }
-        v += 1
+      val lower = tables(h - 1)
+      def isRoot(v: Int) = !(zeroRoot && h == k) || colors(v) == 0
+      sums(h - 1) = Array.tabulate(g.n) { v =>
+        if (isRoot(v)) CountTable.sum(g.neighbors(v).map(lower)) else CountTable.Empty
       }
-      tables(h) = lvl
+      tables(h) = Array.tabulate(g.n) { v =>
+        if (isRoot(v)) CountTable.eq1(h, tables(_)(v), sums(_)(v)) else CountTable.Empty
+      }
     }
     Result(g, colors, k, zeroRoot, tables)
   }

@@ -8,63 +8,56 @@ import scala.util.Random
 
 /** Motivo's compact count table and sampler (paper §3.1–§3.3), in-memory.
   *
-  * Per vertex and per treelet size, the (code, count) pairs are stored in
-  * arrays sorted by code, with *cumulative* counts (the paper's η(T_C, v)),
-  * so `occ(v)` is O(1) (last cumulative entry), `occ(T_C, v)` and
-  * `sample(v)` are O(k) binary searches, and iteration is cache-friendly.
-  * Root sampling uses the alias method; large-degree neighbor sweeps are
-  * amortized with neighbor buffering (§3.2: one sweep yields `bufferDraws`
-  * draws, 99% of sweeps skipped for hubs).
+  * Per vertex and per treelet size, the build-up's [[CountTable]]s: codes
+  * sorted ascending next to exact counts, so `occCt(T_C, v)` is an O(k)
+  * binary search and iteration is cache-friendly. Level k also keeps the
+  * *cumulative* counts (the paper's η(T_C, v)) as `Double`s, so drawing a
+  * colored treelet at a root is a binary search too; every other weight is
+  * read from its exact count. Root sampling uses the alias method;
+  * large-degree neighbor sweeps are amortized with neighbor buffering
+  * (§3.2: one sweep yields `bufferDraws` draws, 99% of sweeps skipped for
+  * hubs).
   */
 final class MotivoLocalTable(
     val g: LocalGraph,
     val colors: Array[Int],
     val k: Int,
-    keys: Array[Array[Array[Long]]],    // keys(h)(v): sorted colored codes
-    cums: Array[Array[Array[Double]]],  // cums(h)(v): cumulative counts
-    val exactTotals: Array[BigInt],     // exact occ_k per vertex (0-rooted)
+    tables: Array[Array[CountTable]],   // tables(h)(v), h = 1..k
     // the paper buffers at degree ≥ 10^4 on 10^6..10^9-edge graphs; our
     // graphs are ~1000× smaller, so the threshold scales down too
     val bufferThreshold: Int = 250,
     val bufferDraws: Int = 100) {
 
+  /** Exact occ_k per vertex (0-rooted). */
+  val exactTotals: Array[BigInt] = tables(k).map(_.total)
+
   /** Total colorful k-treelet copies t (exact). */
   val totalTreelets: BigInt = exactTotals.foldLeft(BigInt(0))(_ + _)
+
+  // cums(v): cumulative level-k counts at v, for drawFromRecord only
+  private val cums: Array[Array[Double]] = tables(k).map(cumulative(_, _ => true))
+
+  private def cumulative(t: CountTable, keep: Int => Boolean): Array[Double] = {
+    var acc = 0.0
+    (0 until t.size).filter(keep).map { i => acc += t.weight(i); acc }.toArray
+  }
+
+  private def freeShape(ct: Long): Int = TreeletEnum.freeShape(ColoredTreelet.shape(ct))
 
   /** r_j: colorful k-treelet copies per free shape (exact would need BigInt
     * per pair; Double is ample for sampling probabilities and AGS ratios).
     */
-  lazy val totalsByShape: Map[Int, Double] = {
-    val acc = mutable.HashMap.empty[Int, Double].withDefaultValue(0.0)
-    var v = 0
-    while (v < g.n) {
-      val ks = keys(k)(v); val cs = cums(k)(v)
-      var i = 0
-      while (i < ks.length) {
-        val w = if (i == 0) cs(0) else cs(i) - cs(i - 1)
-        acc(TreeletEnum.freeShape(ColoredTreelet.shape(ks(i)))) += w
-        i += 1
-      }
-      v += 1
-    }
-    acc.toMap
-  }
+  lazy val totalsByShape: Map[Int, Double] =
+    tables(k).toSeq.flatMap(_.byFreeShape).groupMapReduce(_._1)(_._2.toDouble)(_ + _)
 
-  /** O(1): total treelet weight rooted at v at level h. */
-  def occ(h: Int, v: Int): Double = {
-    val c = cums(h)(v)
-    if (c.isEmpty) 0.0 else c(c.length - 1)
-  }
+  /** Total treelet weight rooted at v at level h. */
+  def occ(h: Int, v: Int): Double = tables(h)(v).total.toDouble
 
   /** O(k): count of a specific colored treelet at v (binary search). */
   def occCt(h: Int, v: Int, ct: Long): Double = {
-    val ks = keys(h)(v)
-    val i = java.util.Arrays.binarySearch(ks, ct)
-    if (i < 0) 0.0
-    else {
-      val c = cums(h)(v)
-      if (i == 0) c(0) else c(i) - c(i - 1)
-    }
+    val t = tables(h)(v)
+    val i = java.util.Arrays.binarySearch(t.codes, ct)
+    if (i < 0) 0.0 else t.weight(i)
   }
 
   private val rootAlias: Alias = Alias(exactTotals.map(_.toDouble).toArray match {
@@ -77,27 +70,10 @@ final class MotivoLocalTable(
 
   private final class ShapeSampler(shape: Int) {
     // level-k records filtered to codes of this free shape
-    val fKeys = new Array[Array[Long]](g.n)
-    val fCums = new Array[Array[Double]](g.n)
-    val totals = new Array[Double](g.n)
-    var grand = 0.0
-    for (v <- 0 until g.n) {
-      val ks = keys(k)(v); val cs = cums(k)(v)
-      val kb = mutable.ArrayBuilder.make[Long]
-      val cb = mutable.ArrayBuilder.make[Double]
-      var acc = 0.0
-      var i = 0
-      while (i < ks.length) {
-        if (TreeletEnum.freeShape(ColoredTreelet.shape(ks(i))) == shape) {
-          val w = if (i == 0) cs(0) else cs(i) - cs(i - 1)
-          acc += w
-          kb += ks(i); cb += acc
-        }
-        i += 1
-      }
-      fKeys(v) = kb.result(); fCums(v) = cb.result(); totals(v) = acc; grand += acc
-    }
-    val alias: Option[Alias] = if (grand > 0) Some(Alias(totals)) else None
+    val fKeys: Array[Array[Long]] = tables(k).map(t => t.codes.filter(freeShape(_) == shape))
+    val fCums: Array[Array[Double]] = tables(k).map(t => cumulative(t, i => freeShape(t.codes(i)) == shape))
+    val totals: Array[Double] = fCums.map(c => if (c.isEmpty) 0.0 else c.last)
+    val alias: Option[Alias] = if (totals.sum > 0) Some(Alias(totals)) else None
   }
 
   // Neighbor-sum and neighbor-buffer caches (§3.2 neighbor buffering).
@@ -175,7 +151,7 @@ final class MotivoLocalTable(
     val (v0, ct0) = shape match {
       case None =>
         val v = rootAlias.draw(rnd)
-        (v, drawFromRecord(keys(k)(v), cums(k)(v), rnd))
+        (v, drawFromRecord(tables(k)(v).codes, cums(v), rnd))
       case Some(sh) =>
         val ss = shapeSamplers.getOrElseUpdate(sh, new ShapeSampler(sh))
         val al = ss.alias.getOrElse(
@@ -234,42 +210,19 @@ final class MotivoLocalTable(
     expand(u, ct2, verts, rnd)
   }
 
-  /** Total byte footprint of the compact table (keys + cumulative counts),
-    * the Table-3 metric. The paper packs 176 bits/pair; we hold 128
-    * bits/pair (8B code + 8B cumulative) plus the exact per-vertex totals.
+  /** Total byte footprint of the compact table, the Table-3 metric. The
+    * paper packs 176 bits/pair; we hold 128 bits/pair (8B code + 8B `Long`
+    * count), 8B more per level-k pair for its cumulative count, and the
+    * exact per-vertex totals.
     */
-  def byteSize: Long = {
-    var b = 0L
-    for (h <- 1 to k; v <- 0 until g.n) b += keys(h)(v).length.toLong * 16
-    b + g.n.toLong * 16 // exact totals
-  }
+  def byteSize: Long = pairCount * 16 + cums.iterator.map(_.length.toLong).sum * 8 + g.n.toLong * 16
 
-  def pairCount: Long = {
-    var c = 0L
-    for (h <- 1 to k; v <- 0 until g.n) c += keys(h)(v).length
-    c
-  }
+  def pairCount: Long = (1 to k).iterator.flatMap(tables(_).iterator).map(_.size.toLong).sum
 }
 
 object MotivoLocalTable {
 
-  /** Compact the hash-map DP result into sorted (code, cumulative) arrays —
-    * the in-memory analogue of greedy flushing + the final sort pass.
-    */
-  def fromResult(r: LocalEngine.Result, bufferThreshold: Int = 250): MotivoLocalTable = {
-    val k = r.k
-    val n = r.g.n
-    val keys = Array.ofDim[Array[Long]](k + 1, n)
-    val cums = Array.ofDim[Array[Double]](k + 1, n)
-    val exactTotals = new Array[BigInt](n)
-    for (h <- 1 to k; v <- 0 until n) {
-      val entries = r.tables(h)(v).toArray.sortBy(_._1)
-      keys(h)(v) = entries.map(_._1)
-      var acc = 0.0
-      cums(h)(v) = entries.map { e => acc += e._2.toDouble; acc }
-    }
-    for (v <- 0 until n)
-      exactTotals(v) = r.tables(k)(v).values.foldLeft(BigInt(0))(_ + _)
-    new MotivoLocalTable(r.g, r.colors, k, keys, cums, exactTotals, bufferThreshold)
-  }
+  /** The table over a build-up result's level tables, as they are. */
+  def fromResult(r: LocalEngine.Result, bufferThreshold: Int = 250): MotivoLocalTable =
+    new MotivoLocalTable(r.g, r.colors, r.k, r.tables, bufferThreshold)
 }

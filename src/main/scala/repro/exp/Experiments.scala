@@ -147,15 +147,16 @@ object Experiments {
   }
 
   /** Figure 4 analogue: build-up with and without 0-rooting (local DP,
-    * JIT-warmed, min of 3 reps each).
+    * JIT-warmed by 5 builds each, then min of 5 interleaved reps each; a
+    * build takes milliseconds, so one warm-up build leaves the first mode
+    * timed still compiling).
     */
   def zeroRootingImpact(g: LocalGraph, k: Int, seed: Long = 3): (Double, Double) = {
     val colors = Array.tabulate(g.n)(v => Coloring.uniform(k, seed).colorOf(v.toLong))
-    LocalEngine.buildUp(g, colors, k, zeroRoot = true)
-    LocalEngine.buildUp(g, colors, k, zeroRoot = false)
-    def best(zero: Boolean): Double =
-      (1 to 3).map(_ => timed(LocalEngine.buildUp(g, colors, k, zeroRoot = zero))._2).min
-    (best(true), best(false))
+    def build(zero: Boolean): Double = timed(LocalEngine.buildUp(g, colors, k, zeroRoot = zero))._2
+    for (_ <- 1 to 5; zero <- Seq(true, false)) build(zero)
+    val reps = (1 to 5).map(_ => (build(true), build(false)))
+    (reps.map(_._1).min, reps.map(_._2).min)
   }
 
   // ---------------------------------------------------------------- Table 3

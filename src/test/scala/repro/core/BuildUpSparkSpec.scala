@@ -147,16 +147,38 @@ class BuildUpSparkSpec extends SparkSpec {
 
   test("count tables stay exact past Long, through sums and Java serialization") {
     val big = BigInt(Long.MaxValue)
-    val a = BuildUp.Table(Array(1L, 5L), Array(big, BigInt(2)))
-    val b = BuildUp.Table(Array(5L, 9L), Array(BigInt(3), big))
-    val sum = BuildUp.Table.add(BuildUp.Table.add(a, b), a)
+    val a = CountTable(Array(1L, 5L), Array(big, BigInt(2)))
+    val b = CountTable(Array(5L, 9L), Array(BigInt(3), big))
+    val sum = CountTable.add(CountTable.add(a, b), a)
     assert(sum.codes.toSeq == Seq(1L, 5L, 9L))
-    assert(sum.counts.toSeq == Seq(2 * big, BigInt(7), big))
+    assert(sum.codes.indices.map(sum.count) == Seq(2 * big, BigInt(7), big))
     val bytes = new java.io.ByteArrayOutputStream
     new java.io.ObjectOutputStream(bytes).writeObject(sum)
     val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
-      .readObject().asInstanceOf[BuildUp.Table]
-    assert(back.codes.toSeq == sum.codes.toSeq && back.counts.toSeq == sum.counts.toSeq)
+      .readObject().asInstanceOf[CountTable]
+    assert(back.codes.toSeq == sum.codes.toSeq &&
+           back.codes.indices.map(back.count) == sum.codes.indices.map(sum.count))
+  }
+
+  test("counts past Long.MaxValue stay exact in both build-ups and the table (star, k=8)") {
+    // Hub 0 of color 0 with 600 leaves of each color 1..7: every colorful
+    // 8-treelet is the star on the hub and one leaf per color, so t = 600^7.
+    val (k, leaves) = (8, 600)
+    val n = 1 + 7 * leaves
+    val g = LocalGraph.fromEdges(n, (1 until n).map(0 -> _))
+    val colors = Array.tabulate(n)(v => if (v == 0) 0 else 1 + (v - 1) / leaves)
+    val t = BigInt(leaves).pow(7)
+    assert(t > BigInt(Long.MaxValue))
+    val local = LocalEngine.buildUp(g, colors, k)
+    assert(local.totalTreelets == t)
+    import spark.implicits._
+    val colorsDF = colors.indices.map(v => (v.toLong, colors(v))).toDF("v", "col")
+    val build = BuildUp.run(spark, Graphs.edgesDF(spark, g), colorsDF, k)
+    try {
+      assert(build.totalTreelets == t)
+      assert(build.toLocalResult(g, colors).tables(k).sameElements(local.tables(k)))
+    } finally build.unpersist()
+    assert(MotivoLocalTable.fromResult(local).totalTreelets == t)
   }
 
   test("Spark DP equals the reference DP with biased coloring") {
@@ -256,7 +278,7 @@ class BuildUpSparkSpec extends SparkSpec {
     try {
       import spark.implicits._
       val refRows = (0 until g.n).flatMap(v =>
-        ref.tables(3)(v).map { case (tc, c) => (v.toLong, tc, c.toLong) })
+        ref.tables(3)(v).toMap.map { case (tc, c) => (v.toLong, tc, c.toLong) })
       val refDF = spark.createDataset(refRows).toDF("v", "tc", "cnt")
       val sparkSide = build.level(3).select(col("v"), col("tc"), col("cnt").cast("long") as "cnt")
       Oracle.assertEquivalent(

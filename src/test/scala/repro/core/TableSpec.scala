@@ -43,7 +43,7 @@ class TableSpec extends SparkSpec {
     val r = LocalEngine.buildUp(g, colors, k)
     val t = MotivoLocalTable.fromResult(r)
     for (h <- 1 to k; v <- 0 until g.n) {
-      val exact = r.tables(h)(v)
+      val exact = r.tables(h)(v).toMap
       val sum = exact.values.foldLeft(BigInt(0))(_ + _).toDouble
       assert(math.abs(t.occ(h, v) - sum) <= 1e-6 * math.max(1.0, sum))
       for ((ct, c) <- exact)
@@ -53,6 +53,24 @@ class TableSpec extends SparkSpec {
              || exact.contains(ColoredTreelet.pack(TreeletEnum.starRooted(math.min(h, 8)), 0xABCD)))
     }
     assert(t.totalTreelets == r.totalTreelets)
+  }
+
+  test("occCt and totalsByShape read exact counts past 2^53") {
+    // One vertex holds {2^60, 1}: a cumulative Double sum cannot tell the
+    // second count apart from 0.
+    val k = 4
+    val g = LocalGraph.fromEdges(k, (1 until k).map(i => (i - 1, i)))
+    val Seq(big, one) = Seq(TreeletEnum.pathRooted(k), TreeletEnum.starRooted(k))
+      .map(ColoredTreelet.pack(_, (1 << k) - 1)).sorted
+    val tables = Array.tabulate(k + 1)(_ => Array.fill(g.n)(CountTable.Empty))
+    tables(k)(0) = CountTable(Array(big, one), Array(BigInt(2).pow(60), BigInt(1)))
+    val t = MotivoLocalTable.fromResult(LocalEngine.Result(g, Array.range(0, k), k, zeroRoot = true, tables))
+    assert(t.occCt(k, 0, one) == 1.0)
+    assert(t.occCt(k, 0, big) == math.pow(2, 60))
+    val shapeOf = (ct: Long) => TreeletEnum.freeShape(ColoredTreelet.shape(ct))
+    assert(shapeOf(big) != shapeOf(one))
+    assert(t.totalsByShape(shapeOf(one)) == 1.0)
+    assert(t.totalTreelets == BigInt(2).pow(60) + 1)
   }
 
   test("totalsByShape of the table matches the DP result") {
@@ -68,7 +86,7 @@ class TableSpec extends SparkSpec {
   }
 
   test("CC baseline build-up produces identical counts to the reference DP") {
-    for (seed <- Seq(53, 54); k <- 3 to 5) {
+    for (seed <- Seq(53, 54); k <- 3 to 8) {
       val g = Generators.er(30, 75, seed = seed)
       val colors = colorsFor(g, k, seed)
       val ref = LocalEngine.buildUp(g, colors, k)
